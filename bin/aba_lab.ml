@@ -60,13 +60,24 @@ let reclaim_cmd =
   let capacity =
     Arg.(value & opt int 32 & info [ "capacity" ] ~doc:"node pool size")
   in
+  (* The OCaml 5.1 runtime caps live domains at 128 (16 on 32-bit
+     targets), and the main domain is one of them. *)
+  let max_domains = (if Sys.word_size = 64 then 128 else 16) - 1 in
+  let run domains ops capacity =
+    let reject why =
+      prerr_endline ("reclaim: " ^ why);
+      exit 2
+    in
+    if capacity < 1 then reject "--capacity must be positive";
+    if ops < 1 then reject "--ops must be positive";
+    if domains < 1 || domains > max_domains then
+      reject (Printf.sprintf "--domains must be between 1 and %d" max_domains);
+    ignore (run_reclaim ~capacity ~domains ~ops ())
+  in
   Cmd.v
     (Cmd.info "reclaim"
        ~doc:"Reclamation schemes: throughput vs peak limbo space (E10).")
-    Term.(
-      const (fun domains ops capacity ->
-          ignore (run_reclaim ~capacity ~domains ~ops ()))
-      $ domains $ ops $ capacity)
+    Term.(const run $ domains $ ops $ capacity)
 
 (* E16: the DPOR model-checking suite.  Each scenario certifies one
    concurrent structure at a small configuration over a representative

@@ -232,9 +232,11 @@ let exchanger_scenario ~id ~about ~window scripts =
 
    {!Aba_reclaim.Reclaim.Make} instantiated over simulator-backed paper
    objects: the free-stack LL/SC word and the Figure-4 announcement
-   registers execute as schedulable steps.  Hazard and Epoch keep their
-   internals on raw atomics, so for them the explorer certifies the
-   operation-order interleavings only; Guarded is the step-level one. *)
+   registers execute as schedulable steps, so Guarded is explored at
+   step level.  Hazard and Epoch keep their words on raw atomics, which
+   are not simulator cells: the explorer sees no conflicting steps and
+   runs a single schedule, so those two scenarios certify one
+   interleaving, not every operation order. *)
 
 type rop = R_alloc | R_retire | R_flush
 type rres = R_node of int option | R_retired of int option | R_flushed

@@ -12,9 +12,12 @@
     simulator cells (the Figure 3/4 objects, the guarded reclaimer's
     LL/SC word and announcement registers, the ring queue, the
     elimination slot) are explored at shared-memory-step granularity.
-    Structures with raw-atomic internals (hazard/epoch reclaimers, the
-    combining claim word) complete those accesses inside one action, so
-    for them the explorer certifies operation-order interleavings. *)
+    Raw-atomic internals (the combining claim word) complete inside one
+    action.  The hazard and epoch reclaimers keep all their words on
+    raw atomics, so the explorer sees no conflicting steps and runs one
+    schedule (1 of 10): [hazard-reclaim] and [epoch-reclaim] check a
+    single interleaving, not every operation order.  Only
+    [guarded-reclaim] is explored at step level (4 of 286). *)
 
 module Explore = Aba_sim.Explore
 

@@ -24,6 +24,14 @@ let put t index =
     done_ := Atomic.compare_and_set t old (Cons { index; rest = old })
   done
 
+(* Every name in [0, capacity), pushed so that [take] yields 0 first. *)
+let full ~capacity =
+  let t = create () in
+  for i = capacity - 1 downto 0 do
+    put t i
+  done;
+  t
+
 let take t =
   let result = ref None in
   let done_ = ref false in

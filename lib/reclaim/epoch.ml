@@ -30,13 +30,7 @@ type t = {
 }
 
 let create ?(slots = 2) ?(obs = Aba_obs.Obs.noop) ~n ~capacity () =
-  ignore slots;
-  if n <= 0 then invalid_arg "Epoch.create: n must be positive";
-  if capacity <= 0 then invalid_arg "Epoch.create: capacity must be positive";
-  let pool = Boxed_pool.create () in
-  for i = capacity - 1 downto 0 do
-    Boxed_pool.put pool i
-  done;
+  Common.check ~n ~slots ~capacity;
   {
     n;
     capacity;
@@ -46,9 +40,9 @@ let create ?(slots = 2) ?(obs = Aba_obs.Obs.noop) ~n ~capacity () =
       Array.init n (fun _ ->
           Array.init 3 (fun _ -> { epoch = -1; nodes = [] }));
     limbo_size = Array.make n 0;
-    pool;
+    pool = Boxed_pool.full ~capacity;
     threshold = max 2 n;
-    bo = Array.init n (fun _ -> Padded.copy (Backoff.make Backoff.default_spec));
+    bo = Common.backoffs n;
     stats = Limbo_stats.create ();
     obs;
   }
@@ -60,23 +54,6 @@ let protect t ~pid ~slot:_ i =
     Atomic.set t.local.(pid) (Atomic.get t.global)
 
 let release t ~pid = Atomic.set t.local.(pid) (-1)
-
-let acquire t ~pid ~slot ~read =
-  let bo = t.bo.(pid) in
-  Backoff.reset bo;
-  let rec loop () =
-    let i = read () in
-    if i < 0 then i
-    else begin
-      protect t ~pid ~slot i;
-      if read () = i then i
-      else begin
-        Backoff.once bo;
-        loop ()
-      end
-    end
-  in
-  loop ()
 
 (* Advance the global epoch iff every pinned domain has observed the
    current one; a CAS failure means someone else advanced for us. *)
@@ -133,11 +110,13 @@ let retire t ~pid i =
 
 let recycle t ~pid:_ i = Boxed_pool.put t.pool i
 
-let alloc t ~pid =
-  match Boxed_pool.take t.pool with
-  | Some i -> Some i
-  | None ->
-      flush t ~pid;
-      Boxed_pool.take t.pool
+include Common.Make (struct
+  type nonrec t = t
+
+  let bo t = t.bo
+  let protect = protect
+  let take t ~pid:_ = Boxed_pool.take t.pool
+  let reclaim = flush
+end)
 
 let stats t = Limbo_stats.snapshot t.stats

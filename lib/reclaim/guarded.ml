@@ -1,7 +1,8 @@
 (** Reclamation guarded by the paper's constructions, made load-bearing.
 
-    The scheme is hazard-pointer-shaped, but every shared word it relies
-    on is one of the paper's objects rather than a raw hardware word:
+    The scheme is {!Hazard.Make}'s protocol, but every shared word it
+    relies on is one of the paper's objects rather than a raw hardware
+    word:
 
     - each protection slot is a single-writer {e ABA-detecting register}
       (Figure 4 / Theorem 3): the owner announces the node it is about
@@ -21,46 +22,33 @@
     slower than {!Hazard}'s raw stores, in exchange for running
     entirely on bounded base objects. *)
 
-module Make (L : Reclaim_intf.LLSC) (D : Reclaim_intf.DETECT) = struct
-  open Aba_primitives
+open Aba_primitives
 
+(* A scan only asks which name is announced now, so [DRead]'s change
+   flag is not needed. *)
+module Fig4_slot (D : Reclaim_intf.DETECT) = struct
+  type t = D.t
+
+  let create = D.create
+  let write = D.dwrite
+  let read t ~pid = fst (D.dread t ~pid)
+end
+
+module Llsc_stack (L : Reclaim_intf.LLSC) = struct
   type t = {
-    n : int;
-    slots : int;
-    capacity : int;
-    announce : D.t array;  (** [n * slots] Figure-4 registers, -1 = empty *)
     head : L.t;  (** free-stack top as (index + 1), 0 = empty *)
     nexts : int array;  (** successor as (index + 1), owner: stack push *)
-    limbo : int list ref array;
-    limbo_size : int array;
-    threshold : int;
     bo : Backoff.t array;  (** per-pid backoff for the LL/SC retry loops *)
-    stats : Limbo_stats.t;
-    obs : Aba_obs.Obs.t;
   }
 
-  let create ?(slots = 2) ?(obs = Aba_obs.Obs.noop) ~n ~capacity () =
-    if n <= 0 then invalid_arg "Guarded.create: n must be positive";
-    if slots <= 0 then invalid_arg "Guarded.create: slots must be positive";
-    if capacity <= 0 then invalid_arg "Guarded.create: capacity must be positive";
+  let create ~n ~capacity =
     if n < 62 && capacity + 1 >= 1 lsl (62 - n) then
       invalid_arg "Guarded.create: capacity exceeds the figure-3 value range";
     let t =
       {
-        n;
-        slots;
-        capacity;
-        announce = Array.init (n * slots) (fun _ -> D.create ~n ~init:(-1));
         head = L.create ~n ~init:0;
         nexts = Array.make capacity 0;
-        limbo = Array.init n (fun _ -> ref []);
-        limbo_size = Array.make n 0;
-        threshold = max 2 (2 * n * slots);
-        bo =
-          Array.init n (fun _ ->
-              Padded.copy (Backoff.make Backoff.default_spec));
-        stats = Limbo_stats.create ();
-        obs;
+        bo = Common.backoffs n;
       }
     in
     (* Seed the free stack single-handedly: pid 0's LL/SC cannot fail
@@ -75,9 +63,7 @@ module Make (L : Reclaim_intf.LLSC) (D : Reclaim_intf.DETECT) = struct
     done;
     t
 
-  let capacity t = t.capacity
-
-  let pool_put t ~pid i =
+  let put t ~pid i =
     let bo = t.bo.(pid) in
     Backoff.reset bo;
     let pushed = ref false in
@@ -91,8 +77,8 @@ module Make (L : Reclaim_intf.LLSC) (D : Reclaim_intf.DETECT) = struct
   (* LL/SC makes the pop immune to reuse of [h]: any interfering SC —
      push or pop — invalidates the link, so a stale [nexts] read can
      never be installed.  This is the paper's cure for exactly the
-     free-list ABA the old [Rt_free_list] was susceptible to. *)
-  let pool_take t ~pid =
+     free-list ABA a plain CAS-driven index stack is susceptible to. *)
+  let take t ~pid =
     let bo = t.bo.(pid) in
     Backoff.reset bo;
     let result = ref None in
@@ -110,76 +96,7 @@ module Make (L : Reclaim_intf.LLSC) (D : Reclaim_intf.DETECT) = struct
       end
     done;
     !result
-
-  let protect t ~pid ~slot i =
-    if slot < 0 || slot >= t.slots then invalid_arg "Guarded.protect: bad slot";
-    D.dwrite t.announce.((pid * t.slots) + slot) ~pid (if i < 0 then -1 else i)
-
-  let release t ~pid =
-    for s = 0 to t.slots - 1 do
-      D.dwrite t.announce.((pid * t.slots) + s) ~pid (-1)
-    done
-
-  let acquire t ~pid ~slot ~read =
-    let bo = t.bo.(pid) in
-    Backoff.reset bo;
-    let rec loop () =
-      let i = read () in
-      if i < 0 then i
-      else begin
-        protect t ~pid ~slot i;
-        if read () = i then i
-        else begin
-          Backoff.once bo;
-          loop ()
-        end
-      end
-    in
-    loop ()
-
-  let scan t ~pid =
-    let announced = Array.make t.capacity false in
-    Array.iter
-      (fun reg ->
-        let i, _changed = D.dread reg ~pid in
-        if i >= 0 && i < t.capacity then announced.(i) <- true)
-      t.announce;
-    let keep =
-      List.filter
-        (fun i ->
-          if announced.(i) then true
-          else begin
-            pool_put t ~pid i;
-            Limbo_stats.on_reclaim t.stats;
-            false
-          end)
-        !(t.limbo.(pid))
-    in
-    t.limbo.(pid) := keep;
-    t.limbo_size.(pid) <- List.length keep
-
-  let flush t ~pid = scan t ~pid
-
-  let retire t ~pid i =
-    let t0 = Aba_obs.Obs.start t.obs in
-    t.limbo.(pid) := i :: !(t.limbo.(pid));
-    t.limbo_size.(pid) <- t.limbo_size.(pid) + 1;
-    Limbo_stats.on_retire t.stats;
-    if t.limbo_size.(pid) >= t.threshold then scan t ~pid;
-    (* Under this scheme the threshold-crossing retire pays a scan of
-       n*slots Figure-4 [DRead]s plus Figure-3 LL/SC pool pushes — the
-       paper's O(n) step complexity, visible as the latency tail. *)
-    Aba_obs.Obs.record t.obs ~pid ~kind:Aba_obs.Obs.Retire
-      ~outcome:Aba_obs.Obs.Ok ~retries:0 t0
-
-  let recycle t ~pid i = pool_put t ~pid i
-
-  let alloc t ~pid =
-    match pool_take t ~pid with
-    | Some i -> Some i
-    | None ->
-        scan t ~pid;
-        pool_take t ~pid
-
-  let stats t = Limbo_stats.snapshot t.stats
 end
+
+module Make (L : Reclaim_intf.LLSC) (D : Reclaim_intf.DETECT) =
+  Hazard.Make (Fig4_slot (D)) (Llsc_stack (L))

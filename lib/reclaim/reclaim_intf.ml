@@ -1,26 +1,25 @@
-(** The common safe-memory-reclamation interface ([RECLAIMER]).
+(** Types and base-object signatures of the reclamation subsystem.
 
     The paper locates the ABA problem in memory reuse: a CAS-based
     structure corrupts only when a node is retired, reclaimed and
     re-enters the structure while a slow operation still holds its
     (stale) address.  A reclaimer is therefore both the allocator and
-    the guard of the runtime index-based structures: nodes are handed
-    out by {!S.alloc}, announced before dereference with {!S.protect}
-    (or the validated read {!S.acquire}), given back with {!S.retire},
-    and only returned to the free pool once no announcement can still
-    refer to them.
+    the guard of the runtime index-based structures; its interface is
+    the result signature of {!Reclaim.Make}.
 
-    Three implementations live behind this signature:
-    - {!Hazard} — classic hazard pointers (Michael 2004) on plain
-      [Atomic] words: O(1) protection, O(n·slots) scans;
+    Three schemes implement it:
+    - {!Hazard} — hazard pointers (Michael 2004), written once as
+      {!Hazard.Make} over an announcement-slot module ({!SLOT}) and a
+      free-pool module ({!POOL}); the [Hazard] scheme instantiates it
+      on plain [Atomic] words: O(1) protection, O(n·slots) scans;
+    - {!Guarded.Make} — the same functor applied to the paper's
+      objects: protection slots are Figure-4 ABA-detecting registers
+      (Theorem 3) and the shared free stack is driven through the
+      Figure-3 LL/SC word (Theorem 2), so every reclamation decision
+      goes through the constructions the paper proves correct;
     - {!Epoch} — epoch-based reclamation: protection amortised to a
       single epoch pin per operation, space unbounded while any domain
-      stays pinned;
-    - {!Guarded.Make} — the paper made load-bearing: protection slots
-      are Figure-4 ABA-detecting registers (Theorem 3) and the shared
-      free stack is driven through the Figure-3 LL/SC word (Theorem 2),
-      so every reclamation decision goes through the constructions the
-      paper proves correct.
+      stays pinned.
 
     All node names are small integers in [0, capacity): the runtime
     structures are index-based, so the reclaimer never touches the
@@ -47,53 +46,24 @@ let scheme_name = function
 
 let all_schemes = [ Hazard; Epoch; Guarded ]
 
-module type S = sig
+(** A single-writer announcement word of {!Hazard.Make}: slot owner
+    [pid] writes the name it is about to dereference, scans read it. *)
+module type SLOT = sig
   type t
 
-  val create :
-    ?slots:int -> ?obs:Aba_obs.Obs.t -> n:int -> capacity:int -> unit -> t
-  (** [create ~n ~capacity ()] prepares [capacity] node names for [n]
-      domains (pids [0, n)).  [slots] (default 2) is the number of
-      simultaneous per-domain protections; the Treiber stack needs 1,
-      the Michael–Scott queue 2.  [obs] (default {!Aba_obs.Obs.noop})
-      records each {!retire} as a [Retire] event whose latency includes
-      any reclamation scan the retire triggered. *)
+  val create : n:int -> init:int -> t
+  val write : t -> pid:int -> int -> unit
+  val read : t -> pid:int -> int
+end
 
-  val capacity : t -> int
+(** The shared free pool of {!Hazard.Make}: [create] holds every name
+    in [0, capacity), [take] returns [None] when the pool is empty. *)
+module type POOL = sig
+  type t
 
-  val alloc : t -> pid:int -> int option
-  (** Take a free node name, or [None] when every node is live or in
-      limbo.  Exhaustion triggers a reclamation attempt first. *)
-
-  val retire : t -> pid:int -> int -> unit
-  (** The node left the structure; hand it back once no protection can
-      still refer to it.  Must be called at most once per removal, by
-      the domain that unlinked it. *)
-
-  val recycle : t -> pid:int -> int -> unit
-  (** Immediate reuse, skipping the grace period: the caller asserts no
-      other domain can hold a stale reference (because the structure
-      protects itself with tags or LL/SC).  This is what the classic
-      free-list clients use. *)
-
-  val protect : t -> pid:int -> slot:int -> int -> unit
-  (** Announce that [pid] is about to dereference a node.  The caller
-      must re-validate its source pointer afterwards ({!acquire} does
-      both).  Negative indices clear the slot. *)
-
-  val acquire : t -> pid:int -> slot:int -> read:(unit -> int) -> int
-  (** The validated-read loop: read a node name, protect it, and re-read
-      until the source is stable.  Returns a protected name, or a
-      negative sentinel (unprotected) if [read] produced one. *)
-
-  val release : t -> pid:int -> unit
-  (** Drop every protection held by [pid] (all slots / the epoch pin). *)
-
-  val flush : t -> pid:int -> unit
-  (** Force a reclamation pass over [pid]'s limbo nodes.  After every
-      domain has released and flushed, all retired nodes are reclaimed. *)
-
-  val stats : t -> stats
+  val create : n:int -> capacity:int -> t
+  val put : t -> pid:int -> int -> unit
+  val take : t -> pid:int -> int option
 end
 
 (** What {!Guarded.Make} needs from the paper's Figure 3: a single

@@ -49,10 +49,3 @@ let put t ~pid i =
   else Rt_reclaim.recycle t.shared ~pid i
 
 let reclaimer t = t.shared
-let retire t = Rt_reclaim.retire t.shared
-let protect t = Rt_reclaim.protect t.shared
-let acquire t = Rt_reclaim.acquire t.shared
-let release t = Rt_reclaim.release t.shared
-let flush t = Rt_reclaim.flush t.shared
-let stats t = Rt_reclaim.stats t.shared
-let capacity t = Rt_reclaim.capacity t.shared

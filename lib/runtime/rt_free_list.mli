@@ -22,9 +22,10 @@
     - [put]/[take] recycle indices immediately, for clients whose own
       head word carries the ABA protection (tagged, LL/SC or
       announcement-guarded structures);
-    - [retire]/[protect]/[acquire]/[release]/[flush] defer reuse behind
-      the reclaimer's grace period, for clients with unprotected words
-      (see {!Rt_treiber} and {!Rt_ms_queue}'s [Reclaimed] variants). *)
+    - clients with unprotected words ({!Rt_treiber} and {!Rt_ms_queue}'s
+      [Reclaimed] variants) take indices here but retire, protect and
+      flush through {!reclaimer}, which defers reuse behind the
+      reclaimer's grace period. *)
 
 type t
 
@@ -58,10 +59,3 @@ val put : t -> pid:int -> int -> unit
     slot when empty (allocation-free), else recycles into the shared
     pool. *)
 
-val retire : t -> pid:int -> int -> unit
-val protect : t -> pid:int -> slot:int -> int -> unit
-val acquire : t -> pid:int -> slot:int -> read:(unit -> int) -> int
-val release : t -> pid:int -> unit
-val flush : t -> pid:int -> unit
-val stats : t -> Rt_reclaim.stats
-val capacity : t -> int

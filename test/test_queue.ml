@@ -131,23 +131,28 @@ let churn_audit name push pop () =
     report.Aba_runtime.Harness.pushed
     (report.Aba_runtime.Harness.popped + report.Aba_runtime.Harness.remaining)
 
-let ring_churn =
-  let q = lazy (Rt_ring.create ~capacity:64 ~n:4 ()) in
+(* Each fixture builds its structure inside the test thunk, before the
+   churn starts, so no churn domain initialises shared state. *)
+let ring_churn () =
+  let q = Rt_ring.create ~capacity:64 ~n:4 () in
   churn_audit "rt ring"
-    (fun ~pid v -> Rt_ring.try_enqueue (Lazy.force q) ~pid v)
-    (fun ~pid -> Rt_ring.try_dequeue (Lazy.force q) ~pid)
+    (fun ~pid v -> Rt_ring.try_enqueue q ~pid v)
+    (fun ~pid -> Rt_ring.try_dequeue q ~pid)
+    ()
 
-let blocking_churn =
-  let q = lazy (Blocking.create ~max_polls:4 ~capacity:64 ~n:4 ()) in
+let blocking_churn () =
+  let q = Blocking.create ~max_polls:4 ~capacity:64 ~n:4 () in
   churn_audit "blocking ring"
-    (fun ~pid v -> Blocking.enqueue (Lazy.force q) ~pid v)
-    (fun ~pid -> Rt_ring.try_dequeue (Blocking.ring (Lazy.force q)) ~pid)
+    (fun ~pid v -> Blocking.enqueue q ~pid v)
+    (fun ~pid -> Rt_ring.try_dequeue (Blocking.ring q) ~pid)
+    ()
 
-let two_lock_churn =
-  let q = lazy (Two_lock.create ~capacity:64 ~n:4 ()) in
+let two_lock_churn () =
+  let q = Two_lock.create ~capacity:64 ~n:4 () in
   churn_audit "two-lock"
-    (fun ~pid v -> Two_lock.try_enqueue (Lazy.force q) ~pid v)
-    (fun ~pid -> Two_lock.try_dequeue (Lazy.force q) ~pid)
+    (fun ~pid v -> Two_lock.try_enqueue q ~pid v)
+    (fun ~pid -> Two_lock.try_dequeue q ~pid)
+    ()
 
 (* ----- Blocking wrapper ----- *)
 

@@ -30,6 +30,18 @@ let boxed_pool () =
   Alcotest.(check (option int)) "LIFO 2" (Some 1) (Aba_reclaim.Boxed_pool.take p);
   Alcotest.(check (option int)) "drained" None (Aba_reclaim.Boxed_pool.take p)
 
+let create_validation scheme () =
+  let rejects label f =
+    check_bool label true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "n = 0" (fun () -> R.create ~n:0 ~capacity:8 scheme);
+  rejects "n < 0" (fun () -> R.create ~n:(-1) ~capacity:8 scheme);
+  rejects "capacity = 0" (fun () -> R.create ~n:2 ~capacity:0 scheme);
+  rejects "capacity < 0" (fun () -> R.create ~n:2 ~capacity:(-3) scheme);
+  rejects "slots = 0" (fun () -> R.create ~slots:0 ~n:2 ~capacity:8 scheme);
+  rejects "slots < 0" (fun () -> R.create ~slots:(-1) ~n:2 ~capacity:8 scheme)
+
 let alloc_exhaust scheme () =
   let r = R.create ~n:2 ~capacity:8 scheme in
   check_int "capacity" 8 (R.capacity r);
@@ -153,3 +165,9 @@ let suite =
              `Quick (msqueue_churn scheme);
          ])
        R.all_schemes
+  @ List.map
+      (fun scheme ->
+        Alcotest.test_case
+          (R.scheme_name scheme ^ ": create rejects n, capacity, slots <= 0")
+          `Quick (create_validation scheme))
+      R.all_schemes
