@@ -234,7 +234,7 @@ module Make (M : Mem_intf.S) = struct
      defences (bounded tags via double-word CAS, LL/SC, or the
      announcement-guarded tags) — with never-reused nodes even a lossy
      tag is safe, so the protection choice is a cost axis, not a
-     correctness one, exactly what the recovery bench sweeps. *)
+     correctness one. *)
   module Stack = struct
     type phase =
       | P_push of int  (** Trying_push v *)

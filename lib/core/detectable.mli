@@ -26,8 +26,8 @@
 open Aba_primitives
 
 (** Head-pointer ABA protection for the detectable stack.  Nodes are
-    never reused, so all three are {e safe}; they differ in cost, which
-    is what the recovery bench sweeps. *)
+    never reused, so all three are {e safe}; they differ only in
+    cost. *)
 type protection =
   | Tag_bits  (** bounded tag via double-word CAS ({!Mem_intf.S.make_cas2}) *)
   | Llsc  (** LL/SC head *)

@@ -1,8 +1,8 @@
-(** Experiment runners (E1..E8 from DESIGN.md).
+(** Experiment runners (E1..E11 from DESIGN.md).
 
-    Each [run_*] prints one paper-derived table to stdout; they are invoked
-    by both the [aba-lab] CLI and the benchmark executable, so
-    [dune exec bench/main.exe] regenerates every table in one go. *)
+    Each [run_*] prints one paper-derived table to stdout; the [aba-lab]
+    CLI exposes each as a subcommand, and [aba-lab all] regenerates every
+    table in one go. *)
 
 open Aba_core
 open Aba_lowerbound
@@ -320,27 +320,20 @@ let run_stack ~domains ~ops () =
 
 (* ----- E11: safe memory reclamation under churn ----- *)
 
-type reclaim_row = {
-  structure : string;
-  scheme : string;
-  domains : int;
-  ops : int;
-  capacity : int;
-  throughput : float;  (** completed push+pop per second *)
-  retired : int;
-  reclaimed : int;
-  peak_in_limbo : int;
-  ok : bool;
-}
-
 (* The churn workload runs every structure at its capacity ceiling, so
    each scheme's grace period is what bounds how many nodes sit retired
    but unreusable: the paper's time-space tradeoff, measured as
    throughput vs peak limbo occupancy. *)
-let reclaim_rows ~domains ~ops ~capacity () =
-  let schemes = Aba_runtime.Rt_reclaim.all_schemes in
+let run_reclaim ?(capacity = 32) ~domains ~ops () =
+  section "E11 - Safe memory reclamation: time vs space under churn";
+  Printf.printf
+    "domains=%d ops/domain=%d capacity=%d (structures run at their\n\
+     capacity ceiling, so every operation recycles nodes)\n"
+    domains ops capacity;
+  Printf.printf "%-10s %-8s %12s %9s %10s %11s %7s\n" "structure" "scheme"
+    "ops/s" "retired" "reclaimed" "peak-limbo" "audit";
   let measure structure ~push ~pop ~finish ~stats_of =
-    List.map
+    List.iter
       (fun scheme ->
         let t, churn_of = stats_of scheme in
         (* Monotonic: NTP slew on the wall clock corrupts throughput. *)
@@ -351,83 +344,56 @@ let reclaim_rows ~domains ~ops ~capacity () =
         in
         let dt = Aba_obs.Clock.elapsed_s t0 in
         let stats : Aba_runtime.Rt_reclaim.stats = churn_of t in
-        {
-          structure;
-          scheme = Aba_runtime.Rt_reclaim.scheme_name scheme;
-          domains;
-          ops;
-          capacity;
-          throughput =
-            float_of_int
-              (report.Aba_runtime.Harness.pushed
+        Printf.printf "%-10s %-8s %12.0f %9d %10d %11d %7s\n" structure
+          (Aba_runtime.Rt_reclaim.scheme_name scheme)
+          (float_of_int
+             (report.Aba_runtime.Harness.pushed
              + report.Aba_runtime.Harness.popped)
-            /. dt;
-          retired = stats.Aba_runtime.Rt_reclaim.retired;
-          reclaimed = stats.Aba_runtime.Rt_reclaim.reclaimed;
-          peak_in_limbo = stats.Aba_runtime.Rt_reclaim.peak_in_limbo;
-          ok = Result.is_ok report.Aba_runtime.Harness.outcome;
-        })
-      schemes
+          /. dt)
+          stats.Aba_runtime.Rt_reclaim.retired
+          stats.Aba_runtime.Rt_reclaim.reclaimed
+          stats.Aba_runtime.Rt_reclaim.peak_in_limbo
+          (if Result.is_ok report.Aba_runtime.Harness.outcome then "OK"
+           else "CORRUPT"))
+      Aba_runtime.Rt_reclaim.all_schemes
   in
   let release_and_flush rc ~pid =
     Aba_runtime.Rt_reclaim.release rc ~pid;
     Aba_runtime.Rt_reclaim.flush rc ~pid
   in
-  let treiber_rows =
-    measure "treiber"
-      ~push:(fun s ~pid v -> Aba_runtime.Rt_treiber.push s ~pid v)
-      ~pop:(fun s ~pid -> Aba_runtime.Rt_treiber.pop s ~pid)
-      ~finish:(fun s ~pid ->
-        match Aba_runtime.Rt_treiber.reclaimer s with
-        | Some rc -> release_and_flush rc ~pid
-        | None -> ())
-      ~stats_of:(fun scheme ->
-        let s =
-          Aba_runtime.Rt_treiber.create
-            ~protection:(Aba_runtime.Rt_treiber.Reclaimed scheme)
-            ~capacity ~n:domains ()
-        in
-        (s, fun s -> Option.get (Aba_runtime.Rt_treiber.reclaim_stats s)))
-  in
-  let msqueue_rows =
-    measure "ms-queue"
-      ~push:(fun q ~pid v -> Aba_runtime.Rt_ms_queue.enqueue q ~pid v)
-      ~pop:(fun q ~pid -> Aba_runtime.Rt_ms_queue.dequeue q ~pid)
-      ~finish:(fun q ~pid ->
-        match Aba_runtime.Rt_ms_queue.reclaimer q with
-        | Some rc -> release_and_flush rc ~pid
-        | None -> ())
-      ~stats_of:(fun scheme ->
-        let q =
-          Aba_runtime.Rt_ms_queue.create
-            ~protection:(Aba_runtime.Rt_ms_queue.Reclaimed scheme)
-            ~capacity ~n:domains ()
-        in
-        (q, fun q -> Option.get (Aba_runtime.Rt_ms_queue.reclaim_stats q)))
-  in
-  treiber_rows @ msqueue_rows
-
-let run_reclaim ?(capacity = 32) ~domains ~ops () =
-  section "E11 - Safe memory reclamation: time vs space under churn";
-  Printf.printf
-    "domains=%d ops/domain=%d capacity=%d (structures run at their\n\
-     capacity ceiling, so every operation recycles nodes)\n"
-    domains ops capacity;
-  Printf.printf "%-10s %-8s %12s %9s %10s %11s %7s\n" "structure" "scheme"
-    "ops/s" "retired" "reclaimed" "peak-limbo" "audit";
-  let rows = reclaim_rows ~domains ~ops ~capacity () in
-  List.iter
-    (fun r ->
-      Printf.printf "%-10s %-8s %12.0f %9d %10d %11d %7s\n" r.structure
-        r.scheme r.throughput r.retired r.reclaimed r.peak_in_limbo
-        (if r.ok then "OK" else "CORRUPT"))
-    rows;
+  measure "treiber"
+    ~push:(fun s ~pid v -> Aba_runtime.Rt_treiber.push s ~pid v)
+    ~pop:(fun s ~pid -> Aba_runtime.Rt_treiber.pop s ~pid)
+    ~finish:(fun s ~pid ->
+      match Aba_runtime.Rt_treiber.reclaimer s with
+      | Some rc -> release_and_flush rc ~pid
+      | None -> ())
+    ~stats_of:(fun scheme ->
+      let s =
+        Aba_runtime.Rt_treiber.create
+          ~protection:(Aba_runtime.Rt_treiber.Reclaimed scheme)
+          ~capacity ~n:domains ()
+      in
+      (s, fun s -> Option.get (Aba_runtime.Rt_treiber.reclaim_stats s)));
+  measure "ms-queue"
+    ~push:(fun q ~pid v -> Aba_runtime.Rt_ms_queue.enqueue q ~pid v)
+    ~pop:(fun q ~pid -> Aba_runtime.Rt_ms_queue.dequeue q ~pid)
+    ~finish:(fun q ~pid ->
+      match Aba_runtime.Rt_ms_queue.reclaimer q with
+      | Some rc -> release_and_flush rc ~pid
+      | None -> ())
+    ~stats_of:(fun scheme ->
+      let q =
+        Aba_runtime.Rt_ms_queue.create
+          ~protection:(Aba_runtime.Rt_ms_queue.Reclaimed scheme)
+          ~capacity ~n:domains ()
+      in
+      (q, fun q -> Option.get (Aba_runtime.Rt_ms_queue.reclaim_stats q)));
   print_endline
     "Paper: hazard = plain-word baseline; epoch = cheap pins, space held\n\
      hostage by stragglers; guarded = protection through figure-4\n\
      registers and a figure-3 LL/SC free stack (Theorems 2+3) - bounded\n\
-     base objects bought with extra steps per protection.";
-  rows
+     base objects bought with extra steps per protection."
 
 (* ----- E9: exhaustive exploration summary ----- *)
 

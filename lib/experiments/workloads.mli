@@ -1,6 +1,6 @@
 (** Shared harness: wiring object instances into the simulator driver and
-    generating random workloads.  Used by the experiment runners, the
-    benchmark executable and the test suites. *)
+    generating random workloads.  Used by the experiment runners,
+    perfbench's certify workload and the test suites. *)
 
 open Aba_primitives
 open Aba_core

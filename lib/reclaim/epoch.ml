@@ -69,9 +69,10 @@ let try_advance t =
 let reclaim_bag t ~pid b =
   List.iter
     (fun i ->
-      Boxed_pool.put t.pool i;
+      (* Count before publishing, as in [Hazard.Make.scan]. *)
       Limbo_stats.on_reclaim t.stats;
-      t.limbo_size.(pid) <- t.limbo_size.(pid) - 1)
+      t.limbo_size.(pid) <- t.limbo_size.(pid) - 1;
+      Boxed_pool.put t.pool i)
     b.nodes;
   b.nodes <- [];
   b.epoch <- -1

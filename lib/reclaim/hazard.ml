@@ -70,8 +70,11 @@ module Make (S : Reclaim_intf.SLOT) (P : Reclaim_intf.POOL) = struct
         (fun i ->
           if announced.(i) then true
           else begin
-            P.put t.pool ~pid i;
+            (* Count before publishing: once [put] returns, another domain
+               may take, use and retire the node, and its retire must not
+               see this node still counted in limbo. *)
             Limbo_stats.on_reclaim t.stats;
+            P.put t.pool ~pid i;
             false
           end)
         !(t.limbo.(pid))

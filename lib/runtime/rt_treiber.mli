@@ -56,7 +56,7 @@ val create :
 (** [padded] (default [true]) puts the head word on its own cache line;
     [backoff] (default [true]) adds bounded exponential backoff to the
     push/pop retry loops.  Both default on — this is the production
-    surface; the benchmark sweep turns them off to measure their cost.
+    surface; turn them off to measure their cost.
     [elimination] (default {!Elimination.Noop}: opt-in) adds the push/pop
     exchanger, consulted only after a failed head CAS, so the uncontended
     paths are unchanged.  [obs] (default {!Aba_obs.Obs.noop}) records each
@@ -74,8 +74,8 @@ val pop : t -> pid:int -> int option
 val pop_or : t -> pid:int -> default:int -> int
 (** [pop_or t ~pid ~default] is [pop] returning [default] when the stack
     is empty.  Under [Announced] this path is allocation-free — no option
-    box — which is what the [announced-hotpath] bench group measures; the
-    other protections route through {!pop}. *)
+    box, as [test/test_alloc.ml] checks; the other protections route
+    through {!pop}. *)
 
 val reclaimer : t -> Rt_reclaim.t option
 (** The backing reclaimer of a [Reclaimed] stack ([None] otherwise). *)

@@ -1,5 +1,5 @@
 (** The contention-management layer: backoff bounds, padded-array layout,
-    the start barrier, and the JSON helper the benchmark emits results
+    the start barrier, and the JSON helper results are emitted
     with.  These are infrastructure the differential suites deliberately
     cannot see (seq/sim run with [Backoff.Noop] and no padding), so they
     get their own direct properties here. *)

@@ -224,10 +224,7 @@ let stack_churn_no_crashes () =
 
 (* ----- DPOR crash-move certification ----- *)
 
-let run_scenario id =
-  match S.find id with
-  | None -> Alcotest.failf "missing scenario %s" id
-  | Some s -> s.S.run ()
+let run_scenario = Test_support.run_scenario
 
 let dpor_crash_pair () =
   let dc = run_scenario "detectable-counter-crash" in

@@ -23,4 +23,6 @@ let () =
       ("observability", Test_obs.suite);
       ("service", Test_service.suite);
       ("detectable", Test_detectable.suite);
+      ("allocation", Test_alloc.suite);
+      ("model-check", Test_model_check.suite);
     ]

@@ -2,8 +2,7 @@
     percentile extraction against a naive-sort oracle, the packed trace
     codec (including its saturation rules) and ring wraparound, counter
     merging, clock monotonicity, the inertness of {!Aba_obs.Obs.noop},
-    and the JSON export shape the benchmark's schema-4 consumers rely
-    on. *)
+    and the JSON export shape. *)
 
 module Obs = Aba_obs.Obs
 module Histogram = Aba_obs.Histogram

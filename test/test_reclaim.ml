@@ -140,6 +140,53 @@ let msqueue_churn scheme () =
     ~pop:(fun ~pid -> Q.dequeue q ~pid)
     ~reclaimer:(Q.reclaimer q) ~capacity ()
 
+(* The reclaim-then-reuse window, replayed on one domain.  The pool's
+   [put] hands the first node it gets straight back and retires it under
+   the other pid — what a concurrent domain can do the moment a scan
+   publishes a node.  [n = 2], [slots = 1] give a retire threshold of 4,
+   so the fourth retire scans and reclaims all four.  A scan that counts
+   each reclaim only after publishing the node lets that re-retire see
+   five nodes in limbo out of a capacity of four. *)
+let reclaim_counts_before_publish () =
+  let capacity = 4 in
+  let on_put = ref (fun _ -> ()) in
+  let module Pool = struct
+    type t = int Stack.t
+
+    let create ~n:_ ~capacity =
+      let s = Stack.create () in
+      for i = capacity - 1 downto 0 do
+        Stack.push i s
+      done;
+      s
+
+    let put t ~pid:_ i =
+      Stack.push i t;
+      !on_put i
+
+    let take t ~pid:_ = Stack.pop_opt t
+  end in
+  let module Slot = struct
+    type t = int ref
+
+    let create ~n:_ ~init = ref init
+    let write t ~pid:_ i = t := i
+    let read t ~pid:_ = !t
+  end in
+  let module Hp = Aba_reclaim.Hazard.Make (Slot) (Pool) in
+  let h = Hp.create ~slots:1 ~n:2 ~capacity () in
+  (on_put :=
+     fun _ ->
+       on_put := ignore;
+       Hp.retire h ~pid:1 (Option.get (Hp.alloc h ~pid:1)));
+  let nodes = List.init capacity (fun _ -> Option.get (Hp.alloc h ~pid:0)) in
+  List.iter (Hp.retire h ~pid:0) nodes;
+  let s = Hp.stats h in
+  check_int "all four reclaimed" capacity s.R.reclaimed;
+  check_int "re-retired node in limbo" 1 s.R.in_limbo;
+  check_bool "peak limbo bounded by capacity" true
+    (s.R.peak_in_limbo <= capacity)
+
 let suite =
   Alcotest.test_case "boxed-pool LIFO" `Quick boxed_pool
   :: List.concat_map
@@ -171,3 +218,7 @@ let suite =
           (R.scheme_name scheme ^ ": create rejects n, capacity, slots <= 0")
           `Quick (create_validation scheme))
       R.all_schemes
+  @ [
+      Alcotest.test_case "hazard: scan counts a reclaim before publishing it"
+        `Quick reclaim_counts_before_publish;
+    ]

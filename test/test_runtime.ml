@@ -214,10 +214,46 @@ let rt_treiber_sequential () =
   Alcotest.(check bool) "exhausted" false
     (Aba_runtime.Rt_treiber.push s ~pid:0 9)
 
+(* Crossing scans are amortised.  Only the [Announced k] protections
+   scan, and only on an install whose witness sits on the last tag of a
+   half (2^(k-1) tags): the install that makes the crossing, at most
+   [n - 1] racing installs that lose it, and — while a stalled reader's
+   announcement blocks it — one retry per failed scan, each recording a
+   skip of a whole half.  A lap of a half costs [half] installs less the
+   tags its crossing skipped, so on [words] guarded words
+     scans <= n * ((installs + skipped) / half + 2 * words)
+              + skipped / half
+   where [skipped] is the summed [retries] of the [Scan] events.  A scan
+   per operation would exceed this by orders of magnitude.  [half] is
+   [None] for a protection that must never scan. *)
+let check_scans obs ~half ~words ~installs =
+  let module Obs = Aba_obs.Obs in
+  let scans = Obs.op_count obs Obs.Scan in
+  match half with
+  | None -> Alcotest.(check int) "no scan events" 0 scans
+  | Some half ->
+      let skipped = Obs.retry_count obs Obs.Scan in
+      let bound =
+        (domains_for_test * (((installs + skipped) / half) + (2 * words)))
+        + (skipped / half)
+      in
+      if scans > bound then
+        Alcotest.failf "%d scans for %d installs (%d tags skipped), bound %d"
+          scans installs skipped bound
+
+let scan_half_treiber = function
+  | Aba_runtime.Rt_treiber.Announced k -> Some (1 lsl (k - 1))
+  | Tag_bits _ | Llsc | Reclaimed _ -> None
+
+let scan_half_msqueue = function
+  | Aba_runtime.Rt_ms_queue.Announced k -> Some (1 lsl (k - 1))
+  | Tag_bits _ | Reclaimed _ -> None
+
 let rt_treiber_stress protection label =
   let test () =
+    let obs = Aba_obs.Obs.create ~trace:0 ~n:domains_for_test () in
     let s =
-      Aba_runtime.Rt_treiber.create ~protection ~capacity:64
+      Aba_runtime.Rt_treiber.create ~obs ~protection ~capacity:64
         ~n:domains_for_test ()
     in
     let results =
@@ -244,12 +280,15 @@ let rt_treiber_stress protection label =
       | None -> ()
     in
     drain ();
-    match
-      Aba_runtime.Rt_treiber.check_multiset ~pushed ~popped
-        ~remaining:!remaining
-    with
+    (match
+       Aba_runtime.Rt_treiber.check_multiset ~pushed ~popped
+         ~remaining:!remaining
+     with
     | Result.Ok () -> ()
-    | Result.Error msg -> Alcotest.failf "%s corrupted: %s" label msg
+    | Result.Error msg -> Alcotest.failf "%s corrupted: %s" label msg);
+    check_scans obs ~half:(scan_half_treiber protection) ~words:1
+      ~installs:(List.length pushed + List.length popped
+                + List.length !remaining)
   in
   Alcotest.test_case (label ^ " stress multiset audit") `Quick test
 
@@ -293,8 +332,9 @@ let rt_msqueue_sequential protection () =
   Alcotest.(check bool) "slot recycled" true (enqueue 100)
 
 let rt_msqueue_stress protection () =
+  let obs = Aba_obs.Obs.create ~trace:0 ~n:domains_for_test () in
   let q =
-    Aba_runtime.Rt_ms_queue.create ~protection ~capacity:64
+    Aba_runtime.Rt_ms_queue.create ~obs ~protection ~capacity:64
       ~n:domains_for_test ()
   in
   let results =
@@ -321,12 +361,17 @@ let rt_msqueue_stress protection () =
     | None -> ()
   in
   drain ();
-  match
-    Aba_runtime.Rt_treiber.check_multiset ~pushed ~popped
-      ~remaining:!remaining
-  with
+  (match
+     Aba_runtime.Rt_treiber.check_multiset ~pushed ~popped
+       ~remaining:!remaining
+   with
   | Result.Ok () -> ()
-  | Result.Error msg -> Alcotest.failf "ms-queue corrupted: %s" msg
+  | Result.Error msg -> Alcotest.failf "ms-queue corrupted: %s" msg);
+  (* Head and tail are two guarded words: every enqueue swings the tail
+     once, every dequeue moves the head once. *)
+  check_scans obs ~half:(scan_half_msqueue protection) ~words:2
+    ~installs:(List.length pushed + List.length popped
+              + List.length !remaining)
 
 let multiset_checker () =
   let check = Aba_runtime.Rt_treiber.check_multiset in
@@ -363,5 +408,11 @@ let suite =
         Alcotest.test_case "rt-msqueue stress multiset audit" `Quick
           (rt_msqueue_stress (Aba_runtime.Rt_ms_queue.Tag_bits 16));
         Alcotest.test_case "multiset checker" `Quick multiset_checker;
+        rt_treiber_stress (Aba_runtime.Rt_treiber.Announced 8) "announced-8";
+        Alcotest.test_case "rt-msqueue sequential FIFO (announced-8)" `Quick
+          (rt_msqueue_sequential (Aba_runtime.Rt_ms_queue.Announced 8));
+        Alcotest.test_case "rt-msqueue stress multiset audit (announced-8)"
+          `Quick
+          (rt_msqueue_stress (Aba_runtime.Rt_ms_queue.Announced 8));
       ];
     ]

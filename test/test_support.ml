@@ -21,3 +21,9 @@ let check_linearizable_aba ~n h =
 let check_linearizable_llsc ~n h =
   if not (Llsc_check.check_ok ~n h) then
     Alcotest.failf "history not linearizable:@.%s" (pp_llsc_history h)
+
+(* One model-check scenario by name, at its default budget. *)
+let run_scenario id =
+  match Aba_experiments.Scenarios.find id with
+  | None -> Alcotest.failf "missing scenario %s" id
+  | Some s -> s.Aba_experiments.Scenarios.run ()
